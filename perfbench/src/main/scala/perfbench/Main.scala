@@ -31,15 +31,24 @@ object Main {
     val outDir   = new File(opt("out"))
     val tag      = s"$workload-seed$seed-trace${if (traced) 1 else 0}"
 
+    val cpu0    = hostCpu()
     val outcome = new Bench(spec, seed, seconds, outDir, tag).run(traced)
+    val cpu1    = hostCpu()
     val correct = outcome.failed == 0
 
     outcome.metrics.foreach { case (n, v, u) => println(f"$n%-45s $v%14.4f $u") }
     println(s"results expected ${outcome.attempted}, failed ${outcome.failed}")
 
+    val steal = cpu0.zip(cpu1).map { case (a, b) =>
+      val d = b.zip(a).map { case (y, x) => y - x }
+      if (d.length > 7 && d.sum > 0) d(7).toDouble / d.sum else 0.0
+    }.getOrElse(Double.NaN)
+    println(f"host steal share $steal%.4f")
+
     val record = Map(
       "workload" -> workload, "seed" -> seed, "seconds" -> seconds, "trace" -> traced,
       "settings" -> spec.settings, "nproc" -> nproc,
+      "host_steal_share" -> steal,
       "jvm_flags" -> ManagementFactory.getRuntimeMXBean.getInputArguments.asScala.toVector,
       "java_version" -> System.getProperty("java.version"),
       "git_sha" -> sys.props.getOrElse("perfbench.gitSha", "unknown"),
@@ -58,6 +67,18 @@ object Main {
     System.out.flush()
     sys.exit(0)
   }
+
+  /** The host's cumulative CPU time counters from `/proc/stat` (user, nice,
+    * system, idle, iowait, irq, softirq, steal, ...), where there is one.
+    * Steal time is CPU time the hypervisor gave to other guests: a run with
+    * much of it measured a loaded host, not the program.
+    */
+  private def hostCpu(): Option[Array[Long]] =
+    try {
+      val src = scala.io.Source.fromFile("/proc/stat")
+      try src.getLines().find(_.startsWith("cpu ")).map(_.split("\\s+").drop(1).map(_.toLong))
+      finally src.close()
+    } catch { case _: java.io.IOException => None }
 
   private def usage(msg: String): Nothing = {
     System.err.println(s"perfbench: $msg")

@@ -1,7 +1,6 @@
 package perfbench
 
 import java.lang.management.ManagementFactory
-import java.util.concurrent.atomic.AtomicLongArray
 import scala.jdk.CollectionConverters._
 import repro.core._
 
@@ -22,8 +21,6 @@ object Dags {
     case "winjoin" => "join"
     case other     => other
   }
-
-  def isSource(v: Vertex): Boolean = role(v) == "source"
 }
 
 /** Reads a generator source's progress — (next sequence number, last
@@ -35,37 +32,6 @@ object SourceProbe {
       case Seq(("offset", (seq: Long, wm: Long, _))) => (seq, wm)
       case other => throw new IllegalStateException(s"unexpected source offset entry $other")
     }
-}
-
-/** Wall-clock instant at which the sources' watermark passed each window
-  * end: the moment a window's result became computable. The latency clock
-  * of the unpaced workload, which has no schedule to be due against. With
-  * several source instances the last one to pass a boundary sets it.
-  */
-final class WatermarkClock(slots: Int, slideMs: Long, lastEventTs: Long) {
-  private val passed = new AtomicLongArray(slots)
-
-  def nanosAt(slot: Int): Long = passed.get(slot)
-
-  def wrap(source: Processor): Processor = new Processor {
-    private var lastWm = 0L
-    override def init(ctx: ProcessorContext): Unit = source.init(ctx)
-    def process(ordinal: Int, inbox: Inbox, outbox: Outbox): Unit = source.process(ordinal, inbox, outbox)
-    override def complete(outbox: Outbox): Boolean = {
-      val done = source.complete(outbox)
-      val wm   = math.min(SourceProbe.progress(source)._2, lastEventTs)
-      if (wm >= lastWm + slideMs) {
-        val now = System.nanoTime()
-        var s   = (lastWm / slideMs).toInt
-        val end = math.min((wm / slideMs).toInt, slots)
-        while (s < end) { passed.accumulateAndGet(s, now, math.max(_, _)); s += 1 }
-        lastWm = end * slideMs
-      }
-      done
-    }
-    override def saveSnapshot(): Iterator[(Any, Any)] = source.saveSnapshot()
-    override def restoreSnapshot(entries: Iterator[(Any, Any)]): Unit = source.restoreSnapshot(entries)
-  }
 }
 
 /** Counters of one processor instance, written only by its tasklet thread

@@ -7,8 +7,10 @@ import repro.nexmark.{Generator, NexmarkConfig, Queries}
 import repro.pipeline.{ForeachSinkDef, Pipeline, SinkDef}
 
 /** One benchmark workload: a NEXMark query, its cluster shape and its load.
-  * `rate > 0` is an open loop paced at that many events per second;
-  * `rate == 0` runs unpaced batches of `batchEvents` events.
+  * `rate > 0` is an open loop paced at that many events per second, with a
+  * discarded first second; `rate == 0` runs unpaced batches of
+  * `Spec.BatchEvents` events. Exactly-once runs snapshot every
+  * `Spec.SnapshotMs` into a grid with one extra, compute-free member.
   */
 final case class Spec(
     name: String,
@@ -18,44 +20,44 @@ final case class Spec(
     window: WindowDef,
     rate: Double,
     guarantee: Guarantee,
-    snapshotMs: Long,
-    extraGridMembers: Int,
     sourceLp: Int,
-    wmStrideMs: Long,
-    keys: Int,
-    warmupSec: Double,
-    batchEvents: Long
+    wmStrideMs: Long
 ) {
-  def paced: Boolean = rate > 0
-  def threads: Int   = nodes * threadsPerNode
+  def paced: Boolean        = rate > 0
+  def threads: Int          = nodes * threadsPerNode
+  def exactlyOnce: Boolean  = guarantee == Guarantee.ExactlyOnce
+  def warmupSec: Double     = if (paced) 1.0 else 0.0
+  def batchEvents: Long     = if (paced) 0L else Spec.BatchEvents
+  def snapshotMs: Long      = if (exactlyOnce) Spec.SnapshotMs else 0L
+  def extraGridMembers: Int = if (exactlyOnce) 1 else 0
 
   def settings: Map[String, Any] = Map(
     "query" -> query, "nodes" -> nodes, "threads_per_node" -> threadsPerNode,
     "window_ms" -> window.sizeMs, "slide_ms" -> window.slideMs,
     "rate_eps" -> rate, "guarantee" -> guarantee.toString, "snapshot_interval_ms" -> snapshotMs,
     "extra_grid_members" -> extraGridMembers, "source_parallelism" -> sourceLp,
-    "watermark_stride_ms" -> wmStrideMs, "keys" -> keys, "warmup_s" -> warmupSec,
+    "watermark_stride_ms" -> wmStrideMs, "keys" -> Spec.Keys, "warmup_s" -> warmupSec,
     "batch_events" -> batchEvents)
 }
 
 object Spec {
+  /** Person and auction keys of every workload. */
+  val Keys        = 1000
+  val BatchEvents = 12000000L
+  val SnapshotMs  = 200L
+
   /** The workloads, sized to `nproc` cores: one JVM whose cooperative
-    * threads never outnumber the cores. `q8-join-2node` is the only one
-    * whose data crosses flow-controlled links between members; its tail
-    * latency is bimodal from job to job while receive windows collapse, so
-    * it is run by name for link diagnostics and is not a gated workload.
+    * threads never outnumber the cores. `q8-join-2node` is the one whose
+    * data crosses flow-controlled links between members; it runs unpaced,
+    * because paced its tail latency is bimodal from job to job.
     */
   def all(nproc: Int): Vector[Spec] = {
-    val q5 = Spec("q5-slide10ms", "q5", 1, nproc, WindowDef(1000, 10), 200000, Guarantee.NoGuarantee,
-      0, 0, 1, 10, 1000, 1.0, 0)
-    val q8 = q5.copy(name = "q8-join", query = "q8")
+    val q5 = Spec("q5-slide10ms", "q5", 1, nproc, WindowDef(1000, 10), 200000, Guarantee.NoGuarantee, 1, 10)
     Vector(
       q5,
-      q5.copy(name = "q5-exactly-once", guarantee = Guarantee.ExactlyOnce, snapshotMs = 200, extraGridMembers = 1),
-      q5.copy(name = "q5-unthrottled", window = WindowDef(2000, 500), rate = 0, sourceLp = 2, wmStrideMs = 100,
-        warmupSec = 0, batchEvents = 12000000L),
-      q8,
-      q8.copy(name = "q8-join-2node", nodes = 2, threadsPerNode = math.max(1, nproc / 2))
+      q5.copy(name = "q5-exactly-once", guarantee = Guarantee.ExactlyOnce),
+      q5.copy(name = "q5-unthrottled", window = WindowDef(2000, 500), rate = 0, sourceLp = 2, wmStrideMs = 100),
+      Spec("q8-join-2node", "q8", 2, math.max(1, nproc / 2), WindowDef(2000, 500), 0, Guarantee.NoGuarantee, 1, 100)
     )
   }
 }
@@ -86,16 +88,18 @@ final class TraceCtx {
 
 final class Bench(spec: Spec, seed: Long, seconds: Double, outDir: File, tag: String) {
 
-  private val gen = new Generator(NexmarkConfig(spec.keys, spec.keys,
+  private val gen = new Generator(NexmarkConfig(Spec.Keys, Spec.Keys,
     eventsPerSecond = if (spec.paced) spec.rate else 100000.0, seed = seed))
 
-  /** A paced run starts with small unpaced jobs, timed for `setup_s`, and a
-    * discarded paced job that brings the JIT to steady state; then it
-    * measures `PacedJobs` fresh jobs of about 2 s each. An unpaced run starts
-    * with discarded batches. Every run also times each measured job's set-up.
+  /** A run starts with a discarded paced job, or discarded unpaced batches,
+    * that bring the JIT to steady state. A paced run then measures
+    * `PacedJobs` fresh jobs of about 2 s each; an unpaced run measures
+    * batches for the run's seconds. Last, `QuickSetups` small unpaced jobs
+    * give `setup_s`, their median set-up time; run before the measured jobs,
+    * they slowed the first of them.
     */
-  private val QuickSetups    = 4
-  private val WarmupEvents   = 200000L
+  private val QuickSetups    = 15
+  private val SetupEvents    = 50000L
   private val WarmupJobSec   = 3.0
   private val PacedJobs      = math.max(1, math.round(seconds / 2.0).toInt)
   private val UnpacedWarmups = 4
@@ -135,34 +139,28 @@ final class Bench(spec: Spec, seed: Long, seconds: Double, outDir: File, tag: St
       val submitNs: Long, val submittedAt: Long)
 
   /** Instance construction, `toDag` and `submit` — the timed set-up. The
-    * optional DAG rewrap for tracing or the watermark clock is not timed.
+    * DAG rewrap for tracing is not timed.
     */
-  private def launch(p: Pipeline, jobName: String, guarantee: Guarantee, trace: Option[TraceCtx],
-      clock: Option[WatermarkClock]): Launch = {
+  private def launch(p: Pipeline, jobName: String, guarantee: Guarantee, trace: Option[TraceCtx]): Launch = {
     val t0   = System.nanoTime()
     val inst = new JetInstance(spec.nodes, spec.threadsPerNode, extraGridMembers = spec.extraGridMembers)
     val t1   = System.nanoTime()
     val dag  = p.toDag()
     val t2   = System.nanoTime()
-    val run  = if (trace.isEmpty && clock.isEmpty) dag else Dags.rewrap(dag, v => decorate(v, trace, clock))
+    val run  = trace.fold(dag)(ctx => Dags.rewrap(dag, v => decorate(v, ctx)))
     val t3   = System.nanoTime()
     val job  = inst.submit(run, JobConfig(jobName, guarantee, math.max(1L, spec.snapshotMs)))
     val t4   = System.nanoTime()
     new Launch(inst, job, (t2 - t0) + (t4 - t3), t2 - t1, (t1 - t0) + (t4 - t3), t3)
   }
 
-  private def decorate(v: Vertex, trace: Option[TraceCtx], clock: Option[WatermarkClock]): () => Processor = {
-    val source = Dags.isSource(v)
-    val role   = Dags.role(v)
+  private def decorate(v: Vertex, ctx: TraceCtx): () => Processor = {
+    val role = Dags.role(v)
     () => {
-      val base = v.createProcessor()
-      val p    = clock.filter(_ => source).fold(base)(_.wrap(base))
-      trace.fold(p) { ctx =>
-        val tp = new TracedProcessor(p, ctx.job, new VertexStats(v.name, role), new SpanLog(2000, 50000L),
-          if (source) Some(ctx) else None)
-        ctx.synchronized(ctx.processors += tp)
-        tp
-      }
+      val tp = new TracedProcessor(v.createProcessor(), ctx.job, new VertexStats(v.name, role),
+        new SpanLog(2000, 50000L), if (role == "source") Some(ctx) else None)
+      ctx.synchronized(ctx.processors += tp)
+      tp
     }
   }
 
@@ -183,7 +181,7 @@ final class Bench(spec: Spec, seed: Long, seconds: Double, outDir: File, tag: St
   /** Set-up time of a small job of the same shape, run to completion. */
   private def quickSetup(i: Int): Launch = {
     val sink = ForeachSinkDef((_, _) => (), 1)
-    val l    = launch(pipeline(WarmupEvents, None, sink, sink), s"setup-$i", spec.guarantee, None, None)
+    val l    = launch(pipeline(SetupEvents, None, sink, sink), s"setup-$i", spec.guarantee, None)
     await(l, JobTimeoutMs)
     l.inst.shutdown()
     l
@@ -238,61 +236,57 @@ final class Bench(spec: Spec, seed: Long, seconds: Double, outDir: File, tag: St
     val name = s"${spec.name}-$i"
     trace.foreach { t => t.pacer = Some(pacer); t.job = i }
     val l     = launch(pipeline(events, Some(pacer), tallySink(sinks.main, latency), tallySink(sinks.rest, noLatency)),
-      name, spec.guarantee, trace, None)
+      name, spec.guarantee, trace)
     val start = pacer.start()
-    val link  = trace.map(_ => new LinkSampler(l.job, new ReceiveWindow().minWindow))
     sleepUntil(start + (spec.warmupSec * 1e9).toLong)
     val c0 = JvmCounters.sample()
     val s0 = trace.map(_.snapshot())
+    val k0 = l.job.snapshotsCompleted
     trace.foreach(_.measuring = true)
-    link.foreach(_.active = true)
     val m0 = System.nanoTime()
     sleepUntil(start + ((spec.warmupSec + measureSec) * 1e9).toLong)
     val c1 = JvmCounters.sample()
     val s1 = trace.map(_.snapshot())
+    val k1 = l.job.snapshotsCompleted
     val m1 = System.nanoTime()
     trace.foreach(_.measuring = false)
-    link.foreach(_.active = false)
     val error = await(l, JobTimeoutMs)
     val done  = System.nanoTime()
-    link.foreach(_.close())
     val run = new JobRun(l, sinks, JvmCounters.delta(c0, c1), m1 - m0, spec.rate * (m1 - m0) / 1e9,
       done - l.submittedAt, error, s1.zip(s0).map { case (b, a) => diffStats(b, a) }.getOrElse(Vector.empty),
-      link, l.job.snapshotsCompleted, committedSnapshotBytes(l, name), replicaEntries(l), own)
+      None, k1 - k0, committedSnapshotBytes(l, name), replicaEntries(l), own)
     l.inst.shutdown()
     run
   }
 
-  /** An unpaced batch of `batchEvents` events, measured whole. Latency runs
-    * from the instant the sources' watermark passed a window's end to the
-    * result's arrival at the sink.
+  /** An unpaced batch of `batchEvents` events, measured whole. A result's
+    * latency is its time to result: from the start of the job's set-up to
+    * its arrival at the sink.
     */
-  private def unpacedJob(i: Int, hist: Option[LogHistogram], trace: Option[TraceCtx]): JobRun = {
+  private def unpacedJob(i: Int, hist: LogHistogram, trace: Option[TraceCtx]): JobRun = {
     val events = spec.batchEvents
     val sinks  = new Sinks(events)
-    val lastTs = gen.tsOf(events - 1)
-    val clock  = new WatermarkClock(sinks.slots, spec.window.slideMs, lastTs)
     val own    = new LogHistogram
-    val latency: (Int, Long, Long) => Unit = hist.fold(noLatency) { h => (slot, we, now) =>
-      val passed = clock.nanosAt(slot)
-      if (passed != 0L && we <= lastTs) {
-        h.recordNanos(now - passed)
-        own.recordNanos(now - passed)
-        sinks.main.noteLatency(slot, now - passed)
-      }
-    }
-    val p = pipeline(events, None, tallySink(sinks.main, latency), tallySink(sinks.rest, noLatency))
     trace.foreach { t => t.measuring = true; t.job = i }
-    val s0    = trace.map(_.snapshot())
-    val c0    = JvmCounters.sample()
-    val l     = launch(p, s"${spec.name}-$i", spec.guarantee, trace, Some(clock))
+    val s0 = trace.map(_.snapshot())
+    val c0 = JvmCounters.sample()
+    val t0 = System.nanoTime()
+    val latency: (Int, Long, Long) => Unit = (slot, _, now) => {
+      hist.recordNanos(now - t0)
+      own.recordNanos(now - t0)
+      sinks.main.noteLatency(slot, now - t0)
+    }
+    val l     = launch(pipeline(events, None, tallySink(sinks.main, latency), tallySink(sinks.rest, noLatency)),
+      s"${spec.name}-$i", spec.guarantee, trace)
+    val link  = trace.map { _ => val ls = new LinkSampler(l.job, new ReceiveWindow().minWindow); ls.active = true; ls }
     val error = await(l, JobTimeoutMs)
     val done  = System.nanoTime()
     val c1    = JvmCounters.sample()
+    link.foreach(_.close())
     trace.foreach(_.measuring = false)
     val stats = trace.map(_.snapshot().drop(s0.get.size)).getOrElse(Vector.empty)
     val run = new JobRun(l, sinks, JvmCounters.delta(c0, c1), done - l.submittedAt, events.toDouble,
-      done - l.submittedAt, error, stats, None, 0, 0L, replicaEntries(l), own)
+      done - l.submittedAt, error, stats, link, 0, 0L, replicaEntries(l), own)
     l.inst.shutdown()
     run
   }
@@ -328,28 +322,26 @@ final class Bench(spec: Spec, seed: Long, seconds: Double, outDir: File, tag: St
 
   private def value(o: Outcome, name: String): Double = o.metrics.find(_._1 == name).map(_._2).getOrElse(Double.NaN)
 
-  /** Measures `seconds` spread over several fresh jobs and pools their
-    * latencies: the job-to-job spread of one configuration (thread
-    * placement, timer phase) is wider than the spread within a job, so one
-    * long job would make a noisy run. Unpaced batches repeat until
-    * `seconds` have passed.
+  /** Measures `seconds` spread over several fresh jobs and reports the
+    * median of their percentiles: the job-to-job spread of one
+    * configuration (thread placement, timer phase) is wider than the spread
+    * within a job, so one long job would make a noisy run. Unpaced batches
+    * repeat until `seconds` have passed.
     */
   private def endToEnd(trace: Option[TraceCtx]): (Outcome, Vector[(String, Double, String)]) = {
     val hist = new LogHistogram
-    val (setupJobs, jobs) =
-      if (spec.paced) {
-        val quick = (1 to QuickSetups).map(quickSetup)
-        pacedJob(0, WarmupJobSec, new LogHistogram, None)
-        val runs  = (1 to PacedJobs).map(i => pacedJob(i, seconds.toDouble / PacedJobs, hist, trace))
-        (quick ++ runs.map(_.launch), runs.toVector)
-      } else {
-        val warm  = (1 to UnpacedWarmups).map(i => unpacedJob(-i, None, None)).last
+    if (spec.paced) pacedJob(0, WarmupJobSec, new LogHistogram, None)
+    else (1 to UnpacedWarmups).foreach(i => unpacedJob(-i, new LogHistogram, None))
+    val jobs =
+      if (spec.paced) (1 to PacedJobs).map(i => pacedJob(i, seconds.toDouble / PacedJobs, hist, trace)).toVector
+      else {
         val start = System.nanoTime()
         val runs  = mutable.ArrayBuffer.empty[JobRun]
         while (runs.size < 2 || (System.nanoTime() - start < seconds * 1e9 && runs.size < 40))
-          runs += unpacedJob(runs.size + 1, Some(hist), trace)
-        (warm.launch +: runs.map(_.launch).toVector, runs.toVector)
+          runs += unpacedJob(runs.size + 1, hist, trace)
+        runs.toVector
       }
+    val setupJobs = (1 to QuickSetups).map(quickSetup)
     val events            = if (spec.paced) jobEvents(seconds.toDouble / PacedJobs) else spec.batchEvents
     val (aggExp, restExp) = expected(events)
     val perJob            = aggExp.results + restExp.map(_.results).getOrElse(0L)
@@ -364,7 +356,7 @@ final class Bench(spec: Spec, seed: Long, seconds: Double, outDir: File, tag: St
       // must match it window for window.
       val off = new Sinks(events)
       val l = launch(pipeline(events, None, tallySink(off.main, noLatency), tallySink(off.rest, noLatency)),
-        s"${spec.name}-ft-off", Guarantee.NoGuarantee, None, None)
+        s"${spec.name}-ft-off", Guarantee.NoGuarantee, None)
       val err = await(l, JobTimeoutMs)
       l.inst.shutdown()
       extra("ft_off_failed") = err.isDefined
@@ -378,9 +370,12 @@ final class Bench(spec: Spec, seed: Long, seconds: Double, outDir: File, tag: St
     val measured = jobs.map(_.measuredEvents).sum
     val thr      = jobs.map(j => events / (j.wallNs / 1e9))
     val setups   = setupJobs.map(_.setupNs.toDouble).sorted
+    // The median over jobs of each job's percentile, so that one job hit by
+    // a stall of the host does not set the run's figure.
+    def latencyMs(p: Double): Double = Stats.median(jobs.map(_.hist.percentileMs(p)).sorted)
     val metrics = Vector(
-      ("latency_p50_ms", hist.percentileMs(50), "ms"),
-      ("latency_p99_ms", hist.percentileMs(99), "ms"),
+      ("latency_p50_ms", latencyMs(50), "ms"),
+      ("latency_p99_ms", latencyMs(99), "ms"),
       ("throughput_eps", Stats.median(thr.sorted), "1/s"),
       ("alloc_bytes_per_event", jvm.allocBytes / measured, "B"),
       ("setup_s", Stats.median(setups) / 1e9, "s"))
